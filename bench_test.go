@@ -508,8 +508,9 @@ func BenchmarkPerfSolverPartition(b *testing.B) {
 }
 
 // BenchmarkPerfReferencePartition measures the pre-optimization
-// partitioner on the same inputs — the baseline the solver's speedup in
-// BENCH_PR5.json is computed against.
+// partitioner on the same inputs, the in-binary baseline for
+// BenchmarkPerfSolverPartition (BENCH_PR5.json holds the historical
+// comparison).
 func BenchmarkPerfReferencePartition(b *testing.B) {
 	b.ReportAllocs()
 	for _, name := range dnn.ZooNames() {

@@ -183,16 +183,6 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// Serve accepts connections on ln until Close. It returns after the
-// listener fails (normally because Close closed it).
-//
-// Deprecated: use ServeContext, which ties the daemon's lifetime and every
-// in-flight exchange to the caller's context.
-func (s *Server) Serve(ln net.Listener) error {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return s.ServeContext(context.Background(), ln)
-}
-
 // Close stops the daemon. It is idempotent and safe to call concurrently
 // with ServeContext's own context-driven shutdown.
 func (s *Server) Close() error {

@@ -1,6 +1,7 @@
 package edged
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func startEdge(t *testing.T, cfg Config) (string, *Server) {
 		t.Fatal(err)
 	}
 	go func() {
-		if serr := srv.Serve(ln); serr != nil {
+		if serr := srv.ServeContext(context.Background(), ln); serr != nil {
 			t.Errorf("serve: %v", serr)
 		}
 	}()
@@ -51,13 +52,14 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
+	ctx := context.Background()
 	addr, _ := startEdge(t, testConfig())
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
-	resp, err := conn.RoundTrip(&wire.Envelope{Type: wire.MsgStatsRequest})
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{Type: wire.MsgStatsRequest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +72,16 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestUploadHasExec(t *testing.T) {
+	ctx := context.Background()
 	addr, _ := startEdge(t, testConfig())
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
 
 	// Nothing cached initially.
-	resp, err := conn.RoundTrip(&wire.Envelope{
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 1, Layers: []dnn.LayerID{0, 1, 2}},
 	})
@@ -90,7 +93,7 @@ func TestUploadHasExec(t *testing.T) {
 	}
 
 	// Upload two layers, then check presence.
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:   wire.MsgUploadLayers,
 		Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0, 2}},
 	})
@@ -100,7 +103,7 @@ func TestUploadHasExec(t *testing.T) {
 	if resp.Ack == nil || !resp.Ack.OK {
 		t.Fatalf("upload rejected: %+v", resp)
 	}
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 1, Layers: []dnn.LayerID{0, 1, 2}},
 	})
@@ -111,7 +114,7 @@ func TestUploadHasExec(t *testing.T) {
 		t.Errorf("cached layers %v, want [0 2]", resp.Has.Layers)
 	}
 	// Another client sees nothing.
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 2, Layers: []dnn.LayerID{0}},
 	})
@@ -123,7 +126,7 @@ func TestUploadHasExec(t *testing.T) {
 	}
 
 	// Execute some offloaded work.
-	resp, err = conn.RoundTrip(&wire.Envelope{
+	resp, err = conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:    wire.MsgExecRequest,
 		ExecReq: &wire.ExecReq{ClientID: 1, ServerBaseNs: int64(5 * time.Millisecond), Intensity: 0.2},
 	})
@@ -136,22 +139,23 @@ func TestUploadHasExec(t *testing.T) {
 }
 
 func TestCacheTTLExpiry(t *testing.T) {
+	ctx := context.Background()
 	cfg := testConfig()
 	cfg.TTL = 50 * time.Millisecond
 	addr, _ := startEdge(t, cfg)
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
-	if _, err := conn.RoundTrip(&wire.Envelope{
+	if _, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type:   wire.MsgUploadLayers,
 		Upload: &wire.Upload{ClientID: 1, Layers: []dnn.LayerID{0}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(80 * time.Millisecond)
-	resp, err := conn.RoundTrip(&wire.Envelope{
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 1, Layers: []dnn.LayerID{0}},
 	})
@@ -164,23 +168,24 @@ func TestCacheTTLExpiry(t *testing.T) {
 }
 
 func TestMigrateToPeer(t *testing.T) {
+	ctx := context.Background()
 	addrA, _ := startEdge(t, testConfig())
 	addrB, _ := startEdge(t, testConfig())
 
-	connA, err := wire.Dial(addrA)
+	connA, err := wire.DialContext(ctx, addrA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer connA.Close() //nolint:errcheck // test teardown
 
 	// Seed A with layers 0..4, then order migration of 0..9 with a cap.
-	if _, err := connA.RoundTrip(&wire.Envelope{
+	if _, err := connA.RoundTripContext(ctx, &wire.Envelope{
 		Type:   wire.MsgUploadLayers,
 		Upload: &wire.Upload{ClientID: 9, Layers: []dnn.LayerID{0, 1, 2, 3, 4}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := connA.RoundTrip(&wire.Envelope{
+	resp, err := connA.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgMigrateRequest,
 		Migrate: &wire.Migrate{
 			ClientID: 9,
@@ -195,12 +200,12 @@ func TestMigrateToPeer(t *testing.T) {
 		t.Fatalf("migrate rejected: %+v", resp)
 	}
 
-	connB, err := wire.Dial(addrB)
+	connB, err := wire.DialContext(ctx, addrB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer connB.Close() //nolint:errcheck // test teardown
-	has, err := connB.RoundTrip(&wire.Envelope{
+	has, err := connB.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgHasRequest,
 		Has:  &wire.Has{ClientID: 9, Layers: []dnn.LayerID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
 	})
@@ -214,13 +219,14 @@ func TestMigrateToPeer(t *testing.T) {
 }
 
 func TestMigrateWithNothingCachedIsNoop(t *testing.T) {
+	ctx := context.Background()
 	addrA, _ := startEdge(t, testConfig())
-	connA, err := wire.Dial(addrA)
+	connA, err := wire.DialContext(ctx, addrA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer connA.Close() //nolint:errcheck // test teardown
-	resp, err := connA.RoundTrip(&wire.Envelope{
+	resp, err := connA.RoundTripContext(ctx, &wire.Envelope{
 		Type: wire.MsgMigrateRequest,
 		Migrate: &wire.Migrate{
 			ClientID: 1,
@@ -237,13 +243,14 @@ func TestMigrateWithNothingCachedIsNoop(t *testing.T) {
 }
 
 func TestUnknownMessageAcksError(t *testing.T) {
+	ctx := context.Background()
 	addr, _ := startEdge(t, testConfig())
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test teardown
-	resp, err := conn.RoundTrip(&wire.Envelope{Type: wire.MsgPlanRequest})
+	resp, err := conn.RoundTripContext(ctx, &wire.Envelope{Type: wire.MsgPlanRequest})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/partition"
-	"perdnn/internal/profile"
 )
 
 // The paper's future work (Section VI) includes "applications
@@ -128,8 +127,6 @@ func RunMultiDNN(cfg MultiConfig) (*MultiResult, error) {
 	}
 
 	type modelState struct {
-		model     *dnn.Model
-		prof      *profile.ModelProfile
 		sched     []partition.UploadUnit
 		prefixLat []time.Duration
 		uploaded  int // units fully uploaded
@@ -137,22 +134,11 @@ func RunMultiDNN(cfg MultiConfig) (*MultiResult, error) {
 	states := make([]*modelState, 0, len(cfg.Models))
 	var allUnits []multiUnit
 	for mi, name := range cfg.Models {
-		m, err := dnn.ZooModel(name)
+		prof, _, sched, err := zooPlan(name, cfg.Link)
 		if err != nil {
 			return nil, err
 		}
-		prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-		req := partition.Request{Profile: prof, Slowdown: 1, Link: cfg.Link}
-		plan, err := partition.Partition(req)
-		if err != nil {
-			return nil, err
-		}
-		sched, err := partition.UploadSchedule(req, plan)
-		if err != nil {
-			return nil, err
-		}
-		st := &modelState{model: m, prof: prof, sched: sched}
-		st.prefixLat = prefixLatencies(prof, sched, cfg.Link)
+		st := &modelState{sched: sched, prefixLat: prefixLatencies(prof, sched, cfg.Link)}
 		states = append(states, st)
 		for _, u := range sched {
 			allUnits = append(allUnits, multiUnit{model: mi, unit: u})

@@ -2,14 +2,11 @@ package edgesim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"perdnn/internal/dnn"
 	"perdnn/internal/obs/tracing"
 	"perdnn/internal/partition"
-	"perdnn/internal/profile"
 )
 
 // PipelineConfig describes the pipelined-chain experiment: one client
@@ -126,11 +123,10 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	if cfg.IssueGap < 0 {
 		return nil, fmt.Errorf("edgesim: negative issue gap %v", cfg.IssueGap)
 	}
-	m, err := dnn.ZooModel(cfg.Model)
+	prof, err := zooProfile(cfg.Model)
 	if err != nil {
 		return nil, err
 	}
-	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
 	plan, err := partition.PlanChain(partition.ChainRequest{
 		Profile:   prof,
 		Link:      cfg.Link,
@@ -219,35 +215,8 @@ type PipelineOutcome struct {
 // is a pure function of its config, so the outcomes — spans included — are
 // byte-identical at every worker count. workers <= 0 uses GOMAXPROCS.
 func RunPipelineSweep(cfgs []PipelineConfig, workers int) []PipelineOutcome {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	out := make([]PipelineOutcome, len(cfgs))
-	var (
-		mu   sync.Mutex
-		next int
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(cfgs) {
-					return
-				}
-				res, err := RunPipeline(cfgs[i])
-				out[i] = PipelineOutcome{Cfg: cfgs[i], Result: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return runPool(cfgs, workers, func(cfg PipelineConfig) PipelineOutcome {
+		res, err := RunPipeline(cfg)
+		return PipelineOutcome{Cfg: cfg, Result: res, Err: err}
+	})
 }

@@ -2,6 +2,7 @@ package edgesim
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -36,7 +37,7 @@ func shardCfg(faulty bool) CityConfig {
 // journals to JSONL.
 func runJournals(t *testing.T, env *Env, cfg CityConfig, shards int) (*CityResult, []byte, []byte) {
 	t.Helper()
-	res, err := RunCitySharded(t.Context(), env, cfg, shards)
+	res, err := RunCitySharded(context.Background(), env, cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +155,10 @@ func TestShardedCityValidation(t *testing.T) {
 	env := smallEnv(t)
 	cfg := DefaultCityConfig(dnn.ModelMobileNet, ModeRouting, 0)
 	cfg.MaxSteps = 4
-	if _, err := RunCitySharded(t.Context(), env, cfg, 2); err == nil {
+	if _, err := RunCitySharded(context.Background(), env, cfg, 2); err == nil {
 		t.Error("ModeRouting accepted with 2 shards")
 	}
-	if _, err := RunCitySharded(t.Context(), env, cfg, 1); err != nil {
+	if _, err := RunCitySharded(context.Background(), env, cfg, 1); err != nil {
 		t.Errorf("ModeRouting rejected with 1 shard: %v", err)
 	}
 	cfg = DefaultCityConfig(dnn.ModelMobileNet, ModeIONN, 0)

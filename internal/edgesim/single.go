@@ -91,17 +91,7 @@ func RunSingle(cfg SingleConfig) (*SingleResult, error) {
 	if cfg.MigrateFraction < 0 || cfg.MigrateFraction > 1 {
 		return nil, fmt.Errorf("edgesim: migrate fraction %v out of [0,1]", cfg.MigrateFraction)
 	}
-	m, err := dnn.ZooModel(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-	req := partition.Request{Profile: prof, Slowdown: 1, Link: cfg.Link}
-	plan, err := partition.Partition(req)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := partition.UploadSchedule(req, plan)
+	prof, plan, sched, err := zooPlan(cfg.Model, cfg.Link)
 	if err != nil {
 		return nil, err
 	}
@@ -173,17 +163,49 @@ func RunSingle(cfg SingleConfig) (*SingleResult, error) {
 	return res, nil
 }
 
+// zooProfile profiles a zoo model on the paper's client board and GPU
+// edge server.
+func zooProfile(model dnn.ModelName) (*profile.ModelProfile, error) {
+	m, err := dnn.ZooModel(model)
+	if err != nil {
+		return nil, err
+	}
+	return profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp()), nil
+}
+
+// zooPlan profiles a zoo model and computes its contention-free Fig 5
+// split over link, plus that split's efficiency-first upload schedule.
+func zooPlan(model dnn.ModelName, link partition.Link) (*profile.ModelProfile, *partition.Plan, []partition.UploadUnit, error) {
+	prof, err := zooProfile(model)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	req := partition.Request{Profile: prof, Slowdown: 1, Link: link}
+	plan, err := partition.Partition(req)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sched, err := partition.UploadSchedule(req, plan)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return prof, plan, sched, nil
+}
+
 // UploadReplay counts the queries a client completes within `window` while
 // uploading a model's server side following an arbitrary unit schedule
 // (used by the upload-order ablation). preUnits schedule units are already
 // present at the server when the replay starts.
 func UploadReplay(model dnn.ModelName, gap time.Duration, link partition.Link, sched []partition.UploadUnit, window time.Duration, preUnits int) (int, error) {
-	m, err := dnn.ZooModel(model)
+	prof, err := zooProfile(model)
 	if err != nil {
 		return 0, err
 	}
-	prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
+	return uploadReplay(prof, gap, link, sched, window, preUnits), nil
+}
 
+// uploadReplay is UploadReplay on an already-built profile.
+func uploadReplay(prof *profile.ModelProfile, gap time.Duration, link partition.Link, sched []partition.UploadUnit, window time.Duration, preUnits int) int {
 	prefixLat := prefixLatencies(prof, sched, link)
 	unitDone := make([]time.Duration, len(sched))
 	var cum time.Duration
@@ -206,7 +228,7 @@ func UploadReplay(model dnn.ModelName, gap time.Duration, link partition.Link, s
 		count++
 		now = done + gap
 	}
-	return count, nil
+	return count
 }
 
 // UploadThroughput reproduces one column of Table II: the number of queries
@@ -222,71 +244,15 @@ type UploadThroughput struct {
 
 // RunUploadThroughput measures the Table II row for one model.
 func RunUploadThroughput(model dnn.ModelName, gap time.Duration, link partition.Link) (*UploadThroughput, error) {
-	cfg := SingleConfig{
-		Model:              model,
-		NumQueries:         1 << 20, // bounded by the window below
-		SwitchAfterQueries: 0,
-		QueryGap:           gap,
-		Link:               link,
-	}
-	// Miss: count queries that complete within the upload window starting
-	// from scratch.
-	countWithin := func(fraction float64) (int, time.Duration, error) {
-		cfg.MigrateFraction = 0
-		m, err := dnn.ZooModel(model)
-		if err != nil {
-			return 0, 0, err
-		}
-		prof := profile.NewModelProfile(m, profile.ClientODROID(), profile.ServerTitanXp())
-		req := partition.Request{Profile: prof, Slowdown: 1, Link: link}
-		plan, err := partition.Partition(req)
-		if err != nil {
-			return 0, 0, err
-		}
-		sched, err := partition.UploadSchedule(req, plan)
-		if err != nil {
-			return 0, 0, err
-		}
-		window := link.UpTime(plan.ServerBytes())
-
-		prefixLat := prefixLatencies(prof, sched, link)
-		unitDone := make([]time.Duration, len(sched))
-		var cum time.Duration
-		for i, u := range sched {
-			cum += link.UpTime(u.Bytes)
-			unitDone[i] = cum
-		}
-		initial := 0
-		if fraction >= 1 {
-			initial = len(sched)
-		}
-		now := time.Duration(0)
-		count := 0
-		k := initial
-		for {
-			for k < len(sched) && now >= unitDone[k] {
-				k++
-			}
-			idx := k
-			if initial == len(sched) {
-				idx = len(sched)
-			}
-			done := now + prefixLat[idx]
-			if done > window {
-				break
-			}
-			count++
-			now = done + gap
-		}
-		return count, window, nil
-	}
-	miss, window, err := countWithin(0)
+	prof, plan, sched, err := zooPlan(model, link)
 	if err != nil {
 		return nil, err
 	}
-	hit, _, err := countWithin(1)
-	if err != nil {
-		return nil, err
-	}
-	return &UploadThroughput{Model: model, UploadTime: window, MissCount: miss, HitCount: hit}, nil
+	window := link.UpTime(plan.ServerBytes())
+	return &UploadThroughput{
+		Model:      model,
+		UploadTime: window,
+		MissCount:  uploadReplay(prof, gap, link, sched, window, 0),
+		HitCount:   uploadReplay(prof, gap, link, sched, window, len(sched)),
+	}, nil
 }

@@ -50,13 +50,26 @@ func RunSweep(runs []SweepRun, workers int) []SweepOutcome {
 // started fail immediately, and every outcome whose run was cut short
 // carries the context error.
 func RunSweepContext(ctx context.Context, runs []SweepRun, workers int) []SweepOutcome {
+	return runPool(runs, workers, func(run SweepRun) SweepOutcome {
+		if err := ctx.Err(); err != nil {
+			return SweepOutcome{Run: run, Err: err}
+		}
+		res, err := RunCityContext(ctx, run.Env, run.Cfg)
+		return SweepOutcome{Run: run, Result: res, Err: err}
+	})
+}
+
+// runPool applies fn to every input on a pool of at most workers
+// goroutines (workers <= 0 uses GOMAXPROCS) and returns the results in
+// input order.
+func runPool[In, Out any](in []In, workers int, fn func(In) Out) []Out {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(runs) {
-		workers = len(runs)
+	if workers > len(in) {
+		workers = len(in)
 	}
-	out := make([]SweepOutcome, len(runs))
+	out := make([]Out, len(in))
 	var (
 		mu   sync.Mutex
 		next int
@@ -71,15 +84,10 @@ func RunSweepContext(ctx context.Context, runs []SweepRun, workers int) []SweepO
 				i := next
 				next++
 				mu.Unlock()
-				if i >= len(runs) {
+				if i >= len(in) {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					out[i] = SweepOutcome{Run: runs[i], Err: err}
-					continue
-				}
-				res, err := RunCityContext(ctx, runs[i].Env, runs[i].Cfg)
-				out[i] = SweepOutcome{Run: runs[i], Result: res, Err: err}
+				out[i] = fn(in[i])
 			}
 		}()
 	}

@@ -17,10 +17,10 @@
 //	go run ./cmd/perdnn-vet ./...
 //
 // A finding can be suppressed at a specific line — for documented
-// exceptions such as deprecated compatibility shims — with a directive
-// comment on the same line or the line above:
+// exceptions such as a caller-owned result on a hot path — with a
+// directive comment on the same line or the line above:
 //
-//	//perdnn:vet-ignore ctxflow deprecated bare-dial shim
+//	//perdnn:vet-ignore hotpathalloc the returned plan is caller-owned
 package lint
 
 import (

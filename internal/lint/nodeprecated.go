@@ -6,13 +6,13 @@ import (
 	"strings"
 )
 
-// NoDeprecated keeps the deprecated facade wrappers (Partition,
-// PartitionMinCut, UploadSchedule, UploadAll, Serve, the bare wire
-// dial/send/recv family) from re-rooting themselves: internal packages
-// and cmd/ binaries must call the replacements. Only the shims themselves
-// (which are documented Deprecated and may chain to each other) and the
-// equivalence tests that pin old == new behaviour may keep calling them,
-// the latter under an explicit vet-ignore.
+// NoDeprecated keeps any future compatibility wrapper from re-rooting
+// itself: internal packages and cmd/ binaries must call the replacement.
+// Only the wrappers themselves (which are documented Deprecated and may
+// chain to each other) and equivalence tests that pin old == new
+// behaviour may keep calling them, the latter under an explicit
+// vet-ignore. The tree currently carries no deprecated API; the rule
+// guards the next one.
 //
 // The check is generic rather than a hard-coded name list: any call whose
 // callee's doc comment carries a standard "Deprecated:" paragraph is

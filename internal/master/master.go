@@ -269,15 +269,6 @@ func (m *Master) ServeContext(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// Serve accepts connections until Close.
-//
-// Deprecated: use ServeContext, which ties the daemon's lifetime and every
-// in-flight exchange to the caller's context.
-func (m *Master) Serve(ln net.Listener) error {
-	//perdnn:vet-ignore ctxflow deprecated compatibility shim supplies the root context
-	return m.ServeContext(context.Background(), ln)
-}
-
 // Close stops the daemon. It is idempotent and safe to call concurrently
 // with ServeContext's own context-driven shutdown.
 func (m *Master) Close() error {

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"context"
 	"log/slog"
 	"net"
 	"os"
@@ -36,6 +37,7 @@ const numShards = 4
 
 func shardFixture(t *testing.T) {
 	t.Helper()
+	ctx := context.Background()
 	shardOnce.Do(func() {
 		grid := geo.NewHexGrid(50)
 		cells := []geo.HexCell{{Q: 0, R: 0}, {Q: 1, R: 0}, {Q: 0, R: 1}, {Q: 1, R: 1}}
@@ -53,7 +55,7 @@ func shardFixture(t *testing.T) {
 				shardErr = err
 				return
 			}
-			go esrv.Serve(eln) //nolint:errcheck // lives for the test binary
+			go esrv.ServeContext(ctx, eln) //nolint:errcheck // lives for the test binary
 			shardEdges = append(shardEdges, EdgeInfo{Addr: eln.Addr().String(), Location: grid.Center(cell)})
 		}
 
@@ -87,7 +89,7 @@ func shardFixture(t *testing.T) {
 				shardErr = err
 				return
 			}
-			go m.Serve(lns[i]) //nolint:errcheck // lives for the test binary
+			go m.ServeContext(ctx, lns[i]) //nolint:errcheck // lives for the test binary
 			shardMasters = append(shardMasters, m)
 		}
 
@@ -138,7 +140,7 @@ func edgeInShard(t *testing.T, s int) int {
 // master. The handoff itself is one trace spanning both masters.
 func TestShardHandoffLive(t *testing.T) {
 	shardFixture(t)
-	ctx := t.Context()
+	ctx := context.Background()
 
 	eA := edgeInShard(t, 0)
 	fromShard := shardEdgeOf[eA]
@@ -153,6 +155,9 @@ func TestShardHandoffLive(t *testing.T) {
 	mA, mB := shardMasters[fromShard], shardMasters[toShard]
 	handoffsBefore := mA.Metrics().Counter("shard_handoffs_total").Value()
 	adoptionsBefore := mB.Metrics().Counter("shard_adoptions_total").Value()
+	// The masters are shared with the other shard tests, so only spans
+	// recorded after this point belong to this test's handoff.
+	sentBefore, adoptedBefore := len(handoffSpans(mA)), len(handoffSpans(mB))
 
 	cl, err := mobile.DialContext(ctx, mobile.Config{
 		ID:         42,
@@ -234,17 +239,7 @@ func TestShardHandoffLive(t *testing.T) {
 
 	// The handoff is one trace spanning both masters: the sender's handoff
 	// span roots it and the adopter's span parents to the sender's.
-	var sent, adopted []tracing.Span
-	for _, s := range mA.Tracer().Spans() {
-		if s.Stage == tracing.StageHandoff {
-			sent = append(sent, s)
-		}
-	}
-	for _, s := range mB.Tracer().Spans() {
-		if s.Stage == tracing.StageHandoff {
-			adopted = append(adopted, s)
-		}
-	}
+	sent, adopted := handoffSpans(mA)[sentBefore:], handoffSpans(mB)[adoptedBefore:]
 	if len(sent) != 1 || len(adopted) != 1 {
 		t.Fatalf("handoff spans: %d sent, %d adopted, want 1 each", len(sent), len(adopted))
 	}
@@ -256,13 +251,24 @@ func TestShardHandoffLive(t *testing.T) {
 	}
 }
 
+// handoffSpans returns the master's recorded handoff spans in order.
+func handoffSpans(m *Master) []tracing.Span {
+	var out []tracing.Span
+	for _, s := range m.Tracer().Spans() {
+		if s.Stage == tracing.StageHandoff {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // TestShardRingCrossings is the boundary-crossing property test: a client
 // walking a ring through every region experiences exactly one handoff per
 // crossing, and after the walk its registration lives on exactly one
 // master — never duplicated, never lost.
 func TestShardRingCrossings(t *testing.T) {
 	shardFixture(t)
-	ctx := t.Context()
+	ctx := context.Background()
 
 	handoffsBefore := make([]int64, numShards)
 	for i, m := range shardMasters {
@@ -323,11 +329,11 @@ func TestShardRingCrossings(t *testing.T) {
 	last := shardEdges[path[len(path)-1]].Location
 	owners := 0
 	for i, addr := range shardAddrs {
-		conn, err := wire.Dial(addr)
+		conn, err := wire.DialContext(ctx, addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := conn.RoundTrip(&wire.Envelope{
+		resp, err := conn.RoundTripContext(ctx, &wire.Envelope{
 			Type:       wire.MsgTrajectory,
 			Trajectory: &wire.Trajectory{ClientID: 77, Points: []geo.Point{last}},
 		})

@@ -140,7 +140,7 @@ func dialFastClient(t *testing.T, masterAddr string) *mobile.Client {
 func uploadAll(t *testing.T, client *mobile.Client) {
 	t.Helper()
 	for steps := 0; ; steps++ {
-		more, err := client.UploadStep()
+		more, err := client.UploadStepContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,6 +158,7 @@ func uploadAll(t *testing.T, client *mobile.Client) {
 // redials, resyncs the edge's surviving cache, and finishes the upload
 // without starting over.
 func TestReconnectAndResumeMidUpload(t *testing.T) {
+	ctx := context.Background()
 	masterAddr, edges, m, _ := liveCluster(t)
 	proxy := newFlakyProxy(t, edges[0].Addr)
 	client := dialFastClient(t, masterAddr)
@@ -166,7 +167,7 @@ func TestReconnectAndResumeMidUpload(t *testing.T) {
 	if serverA == geo.NoServer {
 		t.Fatal("no cell for edge A")
 	}
-	if err := client.Connect(serverA, proxy.Addr()); err != nil {
+	if err := client.ConnectContext(ctx, serverA, proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	_, total := client.CacheState()
@@ -175,7 +176,7 @@ func TestReconnectAndResumeMidUpload(t *testing.T) {
 	}
 
 	// First unit lands, then the "daemon" crashes the connection.
-	if more, err := client.UploadStep(); err != nil || !more {
+	if more, err := client.UploadStepContext(ctx); err != nil || !more {
 		t.Fatalf("first upload step: more=%v err=%v", more, err)
 	}
 	preKill, _ := client.CacheState()
@@ -203,7 +204,7 @@ func TestReconnectAndResumeMidUpload(t *testing.T) {
 	}
 
 	// And a query offloads normally again.
-	if _, err := client.Query(); err != nil {
+	if _, err := client.QueryContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -212,25 +213,26 @@ func TestReconnectAndResumeMidUpload(t *testing.T) {
 // mid-session: the query must not hang, must retry with backoff, and must
 // return a usable client-local latency wrapped with core.ErrLocalFallback.
 func TestDeadEdgeDegradesToLocalFallback(t *testing.T) {
+	ctx := context.Background()
 	masterAddr, edges, m, _ := liveCluster(t)
 	proxy := newFlakyProxy(t, edges[0].Addr)
 	client := dialFastClient(t, masterAddr)
 
 	serverA := m.Placement().ServerAt(edges[0].Location)
-	if err := client.Connect(serverA, proxy.Addr()); err != nil {
+	if err := client.ConnectContext(ctx, serverA, proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	uploadAll(t, client)
 
 	// A healthy offloaded query first, to prove the plan offloads.
-	if _, err := client.Query(); err != nil {
+	if _, err := client.QueryContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 
 	proxy.Close() // the edge never comes back
 
 	start := time.Now()
-	lat, err := client.Query()
+	lat, err := client.QueryContext(ctx)
 	if err == nil {
 		t.Fatal("query against a dead edge returned no error")
 	}
@@ -262,7 +264,7 @@ func TestQueryContextCancelBeatsFallback(t *testing.T) {
 	proxy := newFlakyProxy(t, edges[0].Addr)
 	client := dialFastClient(t, masterAddr)
 
-	if err := client.Connect(m.Placement().ServerAt(edges[0].Location), proxy.Addr()); err != nil {
+	if err := client.ConnectContext(context.Background(), m.Placement().ServerAt(edges[0].Location), proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	uploadAll(t, client)

@@ -148,6 +148,7 @@ func planBytes(t *testing.T, client *mobile.Client) int64 {
 // the edge ends up with the full server-side layer set priced exactly
 // once, and queries offload.
 func TestWindowedUploadStreams(t *testing.T) {
+	ctx := context.Background()
 	masterAddr, edges, m, servers := liveCluster(t)
 	client := dialFastClient(t, masterAddr)
 
@@ -155,7 +156,7 @@ func TestWindowedUploadStreams(t *testing.T) {
 	if serverA == geo.NoServer {
 		t.Fatal("no cell for edge A")
 	}
-	if err := client.Connect(serverA, edges[0].Addr); err != nil {
+	if err := client.ConnectContext(ctx, serverA, edges[0].Addr); err != nil {
 		t.Fatal(err)
 	}
 	_, total := client.CacheState()
@@ -163,7 +164,7 @@ func TestWindowedUploadStreams(t *testing.T) {
 		t.Fatal("plan has no server layers")
 	}
 
-	n, err := client.UploadAllContext(context.Background())
+	n, err := client.UploadAllContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestWindowedUploadStreams(t *testing.T) {
 		t.Fatalf("streaming upload incomplete: %d/%d", present, tot)
 	}
 	// Idempotent: nothing left to stream.
-	if n2, err := client.UploadAllContext(context.Background()); err != nil || n2 != 0 {
+	if n2, err := client.UploadAllContext(ctx); err != nil || n2 != 0 {
 		t.Fatalf("second UploadAll: n=%d err=%v, want 0 units", n2, err)
 	}
 	if got, want := servers[0].Metrics().Counter("upload_bytes_total").Value(), planBytes(t, client); got != want {
@@ -183,7 +184,7 @@ func TestWindowedUploadStreams(t *testing.T) {
 	if got := servers[0].Metrics().Counter("uploads_total").Value(); got != int64(n) {
 		t.Errorf("edge counted %d uploads, client streamed %d units", got, n)
 	}
-	if _, err := client.Query(); err != nil {
+	if _, err := client.QueryContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -195,6 +196,7 @@ func TestWindowedUploadStreams(t *testing.T) {
 // byte counter equals the plan total afterwards — units that landed before
 // the kill (acked or not) were not re-sent.
 func TestKillMidStreamResumesWithoutResend(t *testing.T) {
+	ctx := context.Background()
 	masterAddr, edges, m, servers := liveCluster(t)
 	proxy := newFrameKillProxy(t, edges[0].Addr)
 	client := dialFastClient(t, masterAddr)
@@ -203,7 +205,7 @@ func TestKillMidStreamResumesWithoutResend(t *testing.T) {
 	if serverA == geo.NoServer {
 		t.Fatal("no cell for edge A")
 	}
-	if err := client.Connect(serverA, proxy.Addr()); err != nil {
+	if err := client.ConnectContext(ctx, serverA, proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	_, total := client.CacheState()
@@ -214,7 +216,7 @@ func TestKillMidStreamResumesWithoutResend(t *testing.T) {
 	// Arm after Connect so the resync handshake isn't what dies: the next
 	// two client→server frames are streamed upload units.
 	proxy.armAfter(2)
-	n, err := client.UploadAllContext(context.Background())
+	n, err := client.UploadAllContext(ctx)
 	if err != nil {
 		t.Fatalf("streaming upload did not survive the kill: %v", err)
 	}
@@ -237,7 +239,7 @@ func TestKillMidStreamResumesWithoutResend(t *testing.T) {
 
 	// And the session is healthy: queries offload through the (now
 	// transparent) proxy.
-	if _, err := client.Query(); err != nil {
+	if _, err := client.QueryContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -20,8 +20,8 @@ import (
 //     Solver.UploadSchedule, Decompose, and Evaluate return bit-identical
 //     results against these references over the model zoo x slowdown x link
 //     grid, so the scratch-buffer fast paths cannot silently drift.
-//   - Perf trajectory: perdnn-bench -benchjson benchmarks reference vs
-//     optimized side by side in one binary, so BENCH_*.json speedups are
+//   - Perf trajectory: the root package's BenchmarkPerf* benchmarks time
+//     reference and optimized side by side in one binary, so speedups are
 //     measured under identical conditions rather than across commits.
 
 // referenceSuccessors rebuilds the successor table the way Model.Successors

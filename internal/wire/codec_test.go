@@ -406,15 +406,16 @@ func rawPipe(t *testing.T) (*Conn, net.Conn) {
 // echoPeer answers every envelope with itself until the conn drops.
 func echoPeer(t *testing.T) *Conn {
 	t.Helper()
+	ctx := context.Background()
 	client, raw := rawPipe(t)
 	server := NewConn(raw)
 	go func() {
 		for {
-			e, err := server.Recv()
+			e, err := server.RecvContext(ctx)
 			if err != nil {
 				return
 			}
-			if err := server.Send(e); err != nil {
+			if err := server.SendContext(ctx, e); err != nil {
 				return
 			}
 		}
@@ -534,50 +535,10 @@ func BenchmarkRoundTripBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundTripGobReference is the same exchange over the pre-v2 gob
-// transport, the same-binary baseline for BENCH_PR6.json.
-func BenchmarkRoundTripGobReference(b *testing.B) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close() //nolint:errcheck // bench teardown
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		srv := NewReferenceGobConn(c)
-		for {
-			e, err := srv.Recv()
-			if err != nil {
-				return
-			}
-			if err := srv.Send(e); err != nil {
-				return
-			}
-		}
-	}()
-	raw, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	client := NewReferenceGobConn(raw)
-	defer client.Close() //nolint:errcheck // bench teardown
-	req := &Envelope{Type: MsgExecRequest, ExecReq: &ExecReq{
-		ClientID: 1, ServerBaseNs: 5000, Intensity: 0.3, InputBytes: 100}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.RoundTrip(req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // echoPeerB is echoPeer for benchmarks.
 func echoPeerB(b *testing.B) *Conn {
 	b.Helper()
+	ctx := context.Background()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -589,16 +550,16 @@ func echoPeerB(b *testing.B) *Conn {
 		}
 		server := NewConn(c)
 		for {
-			e, err := server.Recv()
+			e, err := server.RecvContext(ctx)
 			if err != nil {
 				return
 			}
-			if err := server.Send(e); err != nil {
+			if err := server.SendContext(ctx, e); err != nil {
 				return
 			}
 		}
 	}()
-	client, err := DialContext(context.Background(), ln.Addr().String())
+	client, err := DialContext(ctx, ln.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}

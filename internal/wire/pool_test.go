@@ -26,6 +26,7 @@ type countingEchoServer struct {
 
 func newCountingEchoServer(t testing.TB) *countingEchoServer {
 	t.Helper()
+	ctx := context.Background()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +46,11 @@ func newCountingEchoServer(t testing.TB) *countingEchoServer {
 				defer c.Close() //nolint:errcheck // test teardown
 				conn := NewConn(c)
 				for {
-					e, err := conn.Recv()
+					e, err := conn.RecvContext(ctx)
 					if err != nil {
 						return
 					}
-					if err := conn.Send(e); err != nil {
+					if err := conn.SendContext(ctx, e); err != nil {
 						return
 					}
 				}
@@ -177,16 +178,17 @@ func TestPoolDoesNotPoolPoisonedConn(t *testing.T) {
 // later call fails fast with the typed sentinel — callers can no longer
 // accidentally read a stale, deadline-poisoned socket.
 func TestCancelPoisonsConn(t *testing.T) {
+	ctx := context.Background()
 	client := echoPeer(t)
 	poisonByCancel(t, client)
 	req := &Envelope{Type: MsgAck, Ack: &Ack{OK: true}}
-	if err := client.SendContext(context.Background(), req); !errors.Is(err, ErrConnPoisoned) {
+	if err := client.SendContext(ctx, req); !errors.Is(err, ErrConnPoisoned) {
 		t.Errorf("Send after poison: err = %v, want ErrConnPoisoned", err)
 	}
-	if _, err := client.RecvContext(context.Background()); !errors.Is(err, ErrConnPoisoned) {
+	if _, err := client.RecvContext(ctx); !errors.Is(err, ErrConnPoisoned) {
 		t.Errorf("Recv after poison: err = %v, want ErrConnPoisoned", err)
 	}
-	if _, err := client.RoundTripContext(context.Background(), req); !errors.Is(err, ErrConnPoisoned) {
+	if _, err := client.RoundTripContext(ctx, req); !errors.Is(err, ErrConnPoisoned) {
 		t.Errorf("RoundTrip after poison: err = %v, want ErrConnPoisoned", err)
 	}
 }
@@ -213,19 +215,20 @@ func poisonByCancel(t *testing.T, conn *Conn) {
 
 // TestPoolClose: Close drains idles and later Gets fail.
 func TestPoolClose(t *testing.T) {
+	ctx := context.Background()
 	srv := newCountingEchoServer(t)
 	p := NewPool()
-	if _, err := p.RoundTrip(context.Background(), srv.addr(), &Envelope{Type: MsgAck, Ack: &Ack{OK: true}}); err != nil {
+	if _, err := p.RoundTrip(ctx, srv.addr(), &Envelope{Type: MsgAck, Ack: &Ack{OK: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Get(context.Background(), srv.addr()); err == nil {
+	if _, _, err := p.Get(ctx, srv.addr()); err == nil {
 		t.Error("Get after Close succeeded")
 	}
 	// Put after Close must close, not leak or pool, the conn.
-	raw, err := DialContext(context.Background(), srv.addr())
+	raw, err := DialContext(ctx, srv.addr())
 	if err != nil {
 		t.Fatal(err)
 	}

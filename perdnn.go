@@ -55,6 +55,7 @@ package perdnn
 
 import (
 	"context"
+	"errors"
 	"io"
 	"time"
 
@@ -143,8 +144,8 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// Option configures a facade call (Partition, RunCityContext, DialLive,
-// ...). Options that do not apply to a call are ignored.
+// Option configures a facade call (Plan, RunCityContext, DialLive, ...).
+// Options that do not apply to a call are ignored.
 type Option func(*options)
 
 // WithSlowdown sets the server contention slowdown factor used when
@@ -387,7 +388,10 @@ func LabWiFi() Link { return partition.LabWiFi() }
 //   - WithMaxHops(k): allow up to k chained server segments.
 //   - WithObjective(ObjectiveThroughput): minimize the pipeline bottleneck
 //     instead of one query's latency.
-//   - WithMinCut: the exact min-cut single split for branchy DAGs.
+//   - WithMinCut: the exact min-cut single split for branchy DAGs. It
+//     plans one hop against one server, so Plan rejects it combined with
+//     WithServers, WithMaxHops (other than 1) or WithObjective
+//     (other than ObjectiveLatency).
 //
 // The returned OffloadPlan subsumes the old results: Split() is the best
 // single-split plan (the failover target of a multi-hop chain) and
@@ -395,6 +399,10 @@ func LabWiFi() Link { return partition.LabWiFi() }
 func Plan(prof *ModelProfile, opts ...Option) (*OffloadPlan, error) {
 	o := buildOptions(opts)
 	if o.minCut {
+		if len(o.servers) > 0 || o.maxHops != 1 || o.objective != ObjectiveLatency {
+			return nil, errors.New("perdnn: WithMinCut plans one split against one server; " +
+				"it cannot be combined with WithServers, WithMaxHops or WithObjective")
+		}
 		p, err := partition.PartitionMinCut(partition.Request{Profile: prof, Slowdown: o.slowdown, Link: o.link})
 		if err != nil {
 			return nil, err
@@ -412,43 +420,6 @@ func Plan(prof *ModelProfile, opts ...Option) (*OffloadPlan, error) {
 		MaxHops:   o.maxHops,
 		Objective: o.objective,
 	})
-}
-
-// Partition computes the minimum-latency single-split plan for a profile
-// (Fig 5). Defaults: an idle server (WithSlowdown(1.0)) and the paper's lab
-// Wi-Fi link (WithLink(LabWiFi())).
-//
-// Deprecated: use Plan; Partition(prof, opts...) is Plan(prof,
-// opts...).Split().
-func Partition(prof *ModelProfile, opts ...Option) (*SplitPlan, error) {
-	p, err := Plan(prof, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return p.Split(), nil
-}
-
-// PartitionMinCut computes the exact optimum assignment for arbitrary DAG
-// models via minimum s-t cut (Hu et al., the paper's cited alternative for
-// branchy models). It takes the same options as Partition.
-//
-// Deprecated: use Plan with WithMinCut.
-func PartitionMinCut(prof *ModelProfile, opts ...Option) (*SplitPlan, error) {
-	p, err := Plan(prof, append(opts, WithMinCut())...)
-	if err != nil {
-		return nil, err
-	}
-	return p.Split(), nil
-}
-
-// UploadSchedule orders a plan's server-side layers for transmission by the
-// efficiency-first strategy of Section III.C.2.
-//
-// Deprecated: use Plan(...).UploadSchedule(), which also handles multi-hop
-// chains.
-func UploadSchedule(prof *ModelProfile, plan *SplitPlan) ([]UploadUnit, error) {
-	req := partition.Request{Profile: prof, Slowdown: plan.Slowdown, Link: plan.Link}
-	return partition.UploadSchedule(req, plan)
 }
 
 // TrainEstimator trains the per-server random-forest execution-time

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"perdnn"
+	"perdnn/internal/partition"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -141,8 +142,9 @@ func TestFacadeCityFlow(t *testing.T) {
 	}
 }
 
-// TestFacadeOptionsPartition: the deprecated Partition wrapper reproduces
-// Plan().Split() bit for bit, and WithSlowdown actually changes the answer.
+// TestFacadeOptionsPartition: Plan's default options are an idle server on
+// the lab Wi-Fi link, WithSlowdown actually changes the answer, and
+// WithMinCut rejects the chain options it would otherwise ignore.
 func TestFacadeOptionsPartition(t *testing.T) {
 	m, err := perdnn.LoadModel(perdnn.ModelInception)
 	if err != nil {
@@ -150,36 +152,45 @@ func TestFacadeOptionsPartition(t *testing.T) {
 	}
 	prof := perdnn.NewProfile(m)
 
-	byOpts, err := perdnn.Partition(prof)
+	idle, err := perdnn.Plan(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unified, err := perdnn.Plan(prof)
+	byPlan := idle.Split()
+	byReq, err := partition.Partition(partition.Request{Profile: prof, Slowdown: 1, Link: perdnn.LabWiFi()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPlan := unified.Split()
-	if byOpts.NumServerLayers() != byPlan.NumServerLayers() || byOpts.EstLatency != byPlan.EstLatency {
-		t.Errorf("Partition diverges from Plan().Split(): %v vs %v", byOpts, byPlan)
+	if byReq.NumServerLayers() != byPlan.NumServerLayers() || byReq.EstLatency != byPlan.EstLatency {
+		t.Errorf("Plan() defaults diverge from an idle lab-Wi-Fi partition: %v vs %v", byPlan, byReq)
 	}
 
-	congested, err := perdnn.Partition(prof, perdnn.WithSlowdown(50))
+	congested, err := perdnn.Plan(prof, perdnn.WithSlowdown(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if congested.NumServerLayers() >= byOpts.NumServerLayers() {
+	if congested.Split().NumServerLayers() >= byPlan.NumServerLayers() {
 		t.Errorf("50x contention kept %d server layers (idle: %d)",
-			congested.NumServerLayers(), byOpts.NumServerLayers())
+			congested.Split().NumServerLayers(), byPlan.NumServerLayers())
 	}
 
-	if _, err := perdnn.PartitionMinCut(prof, perdnn.WithLink(perdnn.LabWiFi())); err != nil {
+	if _, err := perdnn.Plan(prof, perdnn.WithMinCut(), perdnn.WithLink(perdnn.LabWiFi()), perdnn.WithMaxHops(1)); err != nil {
 		t.Fatal(err)
+	}
+	for name, opt := range map[string]perdnn.Option{
+		"WithMaxHops":   perdnn.WithMaxHops(3),
+		"WithServers":   perdnn.WithServers(perdnn.ServerSpec{ID: 0, Slowdown: 1}),
+		"WithObjective": perdnn.WithObjective(perdnn.ObjectiveThroughput),
+	} {
+		if _, err := perdnn.Plan(prof, perdnn.WithMinCut(), opt); err == nil {
+			t.Errorf("WithMinCut plus %s: want an error, got a plan", name)
+		}
 	}
 }
 
-// TestFacadePlanEquivalence: the unified Plan facade reproduces every old
-// planning form bit for bit at K=1 — the Fig 5 split, its upload schedule,
-// and the min-cut split.
+// TestFacadePlanEquivalence: the unified Plan facade reproduces the
+// partition package's single-server planners bit for bit at K=1 — the
+// Fig 5 split, its upload schedule, and the min-cut split.
 func TestFacadePlanEquivalence(t *testing.T) {
 	for _, name := range perdnn.ModelNames() {
 		m, err := perdnn.LoadModel(name)
@@ -189,7 +200,8 @@ func TestFacadePlanEquivalence(t *testing.T) {
 		prof := perdnn.NewProfile(m)
 		for _, slowdown := range []float64{1, 8} {
 			opts := []perdnn.Option{perdnn.WithSlowdown(slowdown), perdnn.WithLink(perdnn.LabWiFi())}
-			old, err := perdnn.Partition(prof, opts...)
+			req := partition.Request{Profile: prof, Slowdown: slowdown, Link: perdnn.LabWiFi()}
+			old, err := partition.Partition(req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,12 +212,12 @@ func TestFacadePlanEquivalence(t *testing.T) {
 			split := unified.Split()
 			if !reflect.DeepEqual(split.Loc, old.Loc) || split.EstLatency != old.EstLatency ||
 				split.Slowdown != old.Slowdown || split.Link != old.Link {
-				t.Errorf("%s/%vx: Plan().Split() is not bit-identical to Partition", name, slowdown)
+				t.Errorf("%s/%vx: Plan().Split() is not bit-identical to partition.Partition", name, slowdown)
 			}
 			if unified.EstLatency != old.EstLatency {
-				t.Errorf("%s/%vx: Plan latency %v != Partition %v", name, slowdown, unified.EstLatency, old.EstLatency)
+				t.Errorf("%s/%vx: Plan latency %v != partition.Partition %v", name, slowdown, unified.EstLatency, old.EstLatency)
 			}
-			oldSched, err := perdnn.UploadSchedule(prof, old)
+			oldSched, err := partition.UploadSchedule(req, old)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,10 +226,10 @@ func TestFacadePlanEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(oldSched, newSched) {
-				t.Errorf("%s/%vx: Plan().UploadSchedule() diverges from UploadSchedule", name, slowdown)
+				t.Errorf("%s/%vx: Plan().UploadSchedule() diverges from partition.UploadSchedule", name, slowdown)
 			}
 
-			oldCut, err := perdnn.PartitionMinCut(prof, opts...)
+			oldCut, err := partition.PartitionMinCut(req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +238,7 @@ func TestFacadePlanEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(cut.Split().Loc, oldCut.Loc) || cut.Split().EstLatency != oldCut.EstLatency {
-				t.Errorf("%s/%vx: WithMinCut diverges from PartitionMinCut", name, slowdown)
+				t.Errorf("%s/%vx: WithMinCut diverges from partition.PartitionMinCut", name, slowdown)
 			}
 		}
 	}
